@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "api/database.h"
 #include "api/stages.h"  // hand-wired pipeline for the identity check
@@ -296,12 +298,23 @@ TEST(ApiTest, ExecOptionsExplicitSettersBeatEnvironment) {
   ScopedEnv planner("GQOPT_PLANNER", "greedy");
   ScopedEnv cache("GQOPT_PLAN_CACHE", "0");
 
-  // Defaults never read the environment.
+  // Defaults never read the environment. The documented dop default
+  // (src/api/options.h, docs/API.md) is the hardware concurrency clamped
+  // to [1, 256]: 1 only on a 1-core box.
+  const int documented_dop = std::clamp(
+      static_cast<int>(std::thread::hardware_concurrency()), 1, 256);
   ExecOptions defaults;
   EXPECT_EQ(defaults.timeout_ms, 2000);
-  EXPECT_EQ(defaults.dop, 1);
+  EXPECT_EQ(defaults.dop, documented_dop);
   EXPECT_EQ(defaults.planner, PlannerKind::kDp);
   EXPECT_TRUE(defaults.use_plan_cache);
+  {
+    // GQOPT_DOP=4 above coincides with the default on a 4-core box, so
+    // also scope it to a value that differs from the default.
+    const std::string other_dop = documented_dop == 1 ? "2" : "1";
+    ScopedEnv differing_dop("GQOPT_DOP", other_dop.c_str());
+    EXPECT_EQ(ExecOptions{}.dop, documented_dop);
+  }
 
   // FromEnv overlays the environment...
   ExecOptions from_env = ExecOptions::FromEnv();

@@ -399,12 +399,26 @@ TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
   // While a slow closure occupies the only queue slot, EXPLAIN through
   // the serving layer reports the ladder at work and a cheap query sheds
   // with the typed, retryable "overloaded: " status.
+  //
+  // An attempt counts only while the occupier is in flight: waiting for
+  // it to be admitted spends no attempt, so a loaded box that is slow to
+  // schedule the occupier cannot use up the budget. The wall-clock cap
+  // turns a never-admitted occupier into a failure instead of a hang.
   bool observed_shed = false;
   bool observed_degraded_explain = false;
+  constexpr std::chrono::seconds kOccupierWaitCap{60};
+  const auto wait_cap = std::chrono::steady_clock::now() + kOccupierWaitCap;
   for (int attempt = 0; attempt < 200 && !observed_shed; ++attempt) {
-    if (server.queue_depth() < 1) {
+    bool in_flight = server.queue_depth() >= 1;
+    while (!in_flight && std::chrono::steady_clock::now() < wait_cap) {
       std::this_thread::yield();
-      continue;
+      in_flight = server.queue_depth() >= 1;
+    }
+    if (!in_flight) {
+      ADD_FAILURE() << "occupier not in flight within "
+                    << kOccupierWaitCap.count() << " s after " << attempt
+                    << " attempts";
+      break;
     }
     if (!observed_degraded_explain) {
       auto explained = server.Explain("x1, x2 <- (x1, next, x2)", cheap);

@@ -4,7 +4,8 @@
 #
 # Usage: tools/run_tier1.sh [--no-bench] [--tsan] [--asan] [--topk]
 #
-# GQOPT_DOP (degree of parallelism, default 1) passes through to every
+# GQOPT_DOP (degree of parallelism; default the hardware concurrency
+# clamped to [1, 256], serial on a 1-core box) passes through to every
 # test and benchmark binary: executors and closures run their partitioned
 # parallel paths at that dop. Independent of the ambient value, the
 # differential suites run once more at GQOPT_DOP=4 below, so parallel
